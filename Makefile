@@ -10,7 +10,7 @@ BENCH_BASE ?= BENCH_pr9.json
 # snapshots losing more than this percent of throughput fails the build.
 MAX_LOSS ?= 10
 
-.PHONY: check fmt vet build test race bench bench-smoke bench-delta bench-regression fuzz-smoke cover-net staticcheck profile soak soak-smoke fct-smoke
+.PHONY: check fmt vet build test race bench bench-smoke bench-delta bench-regression fuzz-smoke cover-net staticcheck profile soak soak-smoke fct-smoke perfbench
 
 check: fmt vet staticcheck build test race fuzz-smoke soak-smoke fct-smoke cover-net
 
@@ -41,9 +41,7 @@ test:
 	$(GO) test ./...
 
 # race covers the packages with mutable queue/scheduler/network state;
-# CI runs this. netsim's determinism tests run here too, so the sharded
-# flow-pinned data path is exercised under the race detector's schedule
-# perturbation.
+# CI runs this.
 race:
 	$(GO) test -race ./internal/pifo/... ./internal/switchsim/... ./internal/netsim/...
 
@@ -120,3 +118,11 @@ fct-smoke:
 profile:
 	$(GO) run ./cmd/paper-eval -pprof cpu.prof -net
 	@echo "wrote cpu.prof; inspect with: $(GO) tool pprof cpu.prof"
+
+# perfbench runs one workload of the end-to-end benchmark BENCHMARK.json
+# declares (catalog_pipeline, fattree_fct or leafspine_gray); the driver
+# builds into $CARGO_TARGET_DIR or .bench_build.
+PERFBENCH_WORKLOAD ?= fattree_fct
+PERFBENCH_SEED ?= 1
+perfbench:
+	bash perfbench/run.sh --workload $(PERFBENCH_WORKLOAD) --seed $(PERFBENCH_SEED)

@@ -372,40 +372,6 @@ func BenchmarkMachineThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedThroughput measures the RSS-style multi-pipeline
-// simulator: one ShardedMachine with per-shard state, steering by flow key,
-// batches of 4096 fanned out to the shard goroutines.
-func BenchmarkShardedThroughput(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("flowlets/shards=%d", shards), func(b *testing.B) {
-			src, err := CatalogSource("flowlets")
-			if err != nil {
-				b.Fatal(err)
-			}
-			prog, err := CompileLeast(src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sm, err := prog.NewSharded(shards, "sport", "dport")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sm.Close()
-			const batch = 4096
-			hs := workload.FlowletTraceHeaders(sm.Layout(), 1, 256, batch, 10, 50)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sm.ProcessBatch(hs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "pkts/s")
-			b.ReportMetric(float64(shards), "shards")
-		})
-	}
-}
-
 func firstOf(tr []interp.Packet, _ map[workload.Flow]int) []interp.Packet { return tr }
 
 // BenchmarkSchedulerThroughput measures the PIFO scheduling subsystem's

@@ -22,7 +22,8 @@ func fctExperiment(k int, seed int64) {
 	fmt.Printf("== Fat-tree FCT (k=%d: %d hosts, %d edge + %d agg + %d core switches) ==\n",
 		k, podHosts, k*k/2, k*k/2, k*k/4)
 	fmt.Println("   heavy-tailed workload: Poisson flow arrivals, bounded-Pareto sizes (α=1.1);")
-	fmt.Println("   mice are flows <10 pkts, elephants ≥100 pkts; FCTs in simulated ticks")
+	fmt.Println("   mice are flows <10 pkts, elephants ≥100 pkts; FCTs in simulated ticks;")
+	fmt.Println("   delivered counts data packets, feedback CONGA's reflected reports")
 	fmt.Println()
 
 	routings := []string{"ecmp_route", "flowlet_route"}
@@ -41,8 +42,8 @@ func fctExperiment(k int, seed int64) {
 		}
 	}
 
-	fmt.Printf("%-16s %8s %8s %8s %8s %9s %12s %10s %7s\n",
-		"routing", "fct p50", "fct p95", "fct p99", "fct max", "mice p99", "elephant p99", "delivered", "drops")
+	fmt.Printf("%-16s %8s %8s %8s %8s %9s %12s %10s %8s %7s\n",
+		"routing", "fct p50", "fct p95", "fct p99", "fct max", "mice p99", "elephant p99", "delivered", "feedback", "drops")
 	for _, routing := range routings {
 		res, err := netsim.RunFatTreeFCT(cfg(routing))
 		if err != nil {
@@ -51,9 +52,9 @@ func fctExperiment(k int, seed int64) {
 		if res.Completed != res.Flows {
 			fatal(fmt.Errorf("%s: only %d of %d flows completed", routing, res.Completed, res.Flows))
 		}
-		fmt.Printf("%-16s %8d %8d %8d %8d %9d %12d %10d %7d\n",
+		fmt.Printf("%-16s %8d %8d %8d %8d %9d %12d %10d %8d %7d\n",
 			res.Routing, res.FCTP50, res.FCTP95, res.FCTP99, res.FCTMax,
-			res.MiceP99, res.ElephantP99, res.Delivered, res.Dropped)
+			res.MiceP99, res.ElephantP99, res.Delivered, res.Feedback, res.Dropped)
 	}
 	fmt.Println()
 

@@ -18,18 +18,19 @@ import (
 func netExperiment() {
 	fmt.Println("== Leaf-spine load balance (4 leaves × 2 spines, cross-leaf permutation matrix) ==")
 	fmt.Println("   routing runs as a Domino transaction in each leaf's ingress pipeline;")
-	fmt.Println("   imbalance is (max-min)/mean over core-link bytes, lower is better")
+	fmt.Println("   imbalance is (max-min)/mean over core-link bytes, lower is better;")
+	fmt.Println("   delivered counts data packets, feedback CONGA's reflected reports")
 	fmt.Println()
-	fmt.Printf("%-16s %10s %12s %10s %10s %10s %9s %7s\n",
-		"routing", "imbalance", "max core uti", "fct mean", "fct p95", "fct max", "delivered", "drops")
+	fmt.Printf("%-16s %10s %12s %10s %10s %10s %9s %8s %7s\n",
+		"routing", "imbalance", "max core uti", "fct mean", "fct p95", "fct max", "delivered", "feedback", "drops")
 	for _, routing := range []string{"ecmp_route", "flowlet_route", "conga_route"} {
 		res, err := netsim.RunLeafSpine(netsim.ExperimentConfig{Routing: routing, Seed: 1})
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%-16s %10.3f %12.3f %10.1f %10d %10d %9d %7d\n",
+		fmt.Printf("%-16s %10.3f %12.3f %10.1f %10d %10d %9d %8d %7d\n",
 			res.Routing, res.Imbalance, res.MaxCoreUtil,
-			res.FCTMean, res.FCTP95, res.FCTMax, res.Delivered, res.Dropped)
+			res.FCTMean, res.FCTP95, res.FCTMax, res.Delivered, res.Feedback, res.Dropped)
 	}
 	fmt.Println()
 	fmt.Println("   ECMP pins each flow to one hashed path, so colliding elephants stay")

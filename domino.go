@@ -162,22 +162,12 @@ func (p *Program) NewMachine() (*Machine, error) {
 	return &Machine{m: m}, nil
 }
 
-// NewSharded instantiates the pipeline n times, each shard with its own
-// state on its own goroutine, with RSS-style steering by the named key
-// fields (see banzai.ShardedMachine for the state-consistency contract).
-func (p *Program) NewSharded(n int, keyFields ...string) (*ShardedMachine, error) {
-	return banzai.NewSharded(p.inner, n, keyFields...)
-}
-
 // Header is the allocation-free slot-vector packet representation the
 // compiled data path runs on; Layout maps field names to its slots.
 type Header = banzai.Header
 
 // Layout maps packet field names to Header slots for one compiled program.
 type Layout = banzai.Layout
-
-// ShardedMachine is a pipeline replicated across shards with flow steering.
-type ShardedMachine = banzai.ShardedMachine
 
 // Machine is an instantiated Banzai pipeline executing a compiled program,
 // one packet per clock cycle.

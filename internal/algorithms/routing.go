@@ -84,10 +84,31 @@ const DefaultECNThresholdBytes = 9000
 // switch is, never what to stamp.
 const INTSwitchIDState = "switch_id"
 
-// RouteParams instantiates a routing transaction for one position in a
-// leaf-spine fabric.
+// LeafIDState is the position scalar every leaf routing transaction
+// declares (`int leaf_id = <RouteParams.LeafID>;`) and compares each
+// packet's destination leaf against. It makes the leaf's identity
+// control-plane state: one compiled program serves every leaf of a
+// fabric, and the harness pokes each switch's index right after building
+// it (and re-pokes it after a restart wipe), the way a controller
+// installs per-switch entries into one loaded program. The declared
+// initial value serves standalone callers that run one position without
+// a harness.
+const LeafIDState = "leaf_id"
+
+// FatAggEdgeLoState and FatAggEdgeHiState are fat_agg_route's position
+// scalars: the pod's global edge-index range [edge_lo, edge_hi), poked
+// per aggregation switch exactly like LeafIDState.
+const (
+	FatAggEdgeLoState = "edge_lo"
+	FatAggEdgeHiState = "edge_hi"
+)
+
+// RouteParams instantiates a routing transaction for a leaf-spine
+// fabric.
 type RouteParams struct {
-	// LeafID is the leaf's index (leaf of host h is h / HostsPerLeaf).
+	// LeafID is the declared initial value of the position state
+	// (LeafIDState; the pod index for fat_agg_route). The leaf of host h
+	// is h / HostsPerLeaf.
 	LeafID int
 	// Leaves and Spines size the fabric.
 	Leaves, Spines int
@@ -178,12 +199,11 @@ func (p RouteParams) validate() error {
 	return nil
 }
 
-// routeHeader is the shared packet struct and fabric defines of every
-// leaf routing transaction.
+// routeHeader is the shared packet struct, fabric defines and position
+// state (LeafIDState) of every leaf routing transaction.
 const routeHeader = `
 #define SPINES %d
 #define HOSTS_PER_LEAF %d
-#define MY_LEAF %d
 #define DOWN_BASE %d
 
 struct Packet {
@@ -214,10 +234,12 @@ struct Packet {
   int down;
   int out_port;
 };
+
+int leaf_id = %d;
 `
 
 func leafHeader(p RouteParams, extraFields string) string {
-	return fmt.Sprintf(routeHeader, p.Spines, p.HostsPerLeaf, p.LeafID, p.Spines, extraFields)
+	return fmt.Sprintf(routeHeader, p.Spines, p.HostsPerLeaf, p.Spines, extraFields, p.LeafID)
 }
 
 // ECMPRouteSource is per-flow equal-cost multi-path: the uplink is a hash
@@ -231,7 +253,7 @@ func ECMPRouteSource(p RouteParams) (string, error) {
 	return leafHeader(p, p.obsFields()) + p.obsState(p.Spines+p.HostsPerLeaf) + `
 void ecmp_route(struct Packet pkt) {
   pkt.dstleaf = pkt.dst / HOSTS_PER_LEAF;
-  pkt.local = pkt.dstleaf == MY_LEAF;
+  pkt.local = pkt.dstleaf == leaf_id;
   pkt.up = hash2(pkt.sport, pkt.dport) % SPINES;
   pkt.down = DOWN_BASE + (pkt.dst % HOSTS_PER_LEAF);
   pkt.out_port = pkt.local ? pkt.down : pkt.up;
@@ -264,7 +286,7 @@ int port_up[SPINES] = {1};
 ` + p.obsState(p.Spines+p.HostsPerLeaf) + `
 void flowlet_route(struct Packet pkt) {
   pkt.dstleaf = pkt.dst / HOSTS_PER_LEAF;
-  pkt.local = pkt.dstleaf == MY_LEAF;
+  pkt.local = pkt.dstleaf == leaf_id;
   pkt.new_hop = hash3(pkt.sport, pkt.dport, pkt.arrival) % SPINES;
   pkt.fid = hash2(pkt.sport, pkt.dport) % NUM_FLOWLETS;
   if (pkt.arrival - last_time[pkt.fid] > THRESHOLD) {
@@ -308,7 +330,7 @@ func CongaRouteSource(p RouteParams) (string, error) {
 	if p.Leaves > 64 {
 		return "", fmt.Errorf("algorithms: conga_route supports at most 64 leaves (N_LEAVES), got %d", p.Leaves)
 	}
-	return leafHeader(p, "  int fbleaf;\n  int absorb;\n  int key;\n  int gutil;\n  int gpath;\n  int best;\n  int eup;\n  int pup;\n  int probe;\n  int dup;\n  int upsel;\n  int upok;\n  int alt;\n"+p.obsFields()) + `
+	return leafHeader(p, "  int fbleaf;\n  int fbok;\n  int vutil;\n  int vpath;\n  int absorb;\n  int key;\n  int gutil;\n  int gpath;\n  int best;\n  int eup;\n  int pup;\n  int probe;\n  int dup;\n  int upsel;\n  int upok;\n  int alt;\n"+p.obsFields()) + `
 #define N_LEAVES 64
 #define FB_NONE 1073741824
 #define FB_INIT 536870912
@@ -321,14 +343,23 @@ int port_up[SPINES] = {1};
 void conga_route(struct Packet pkt) {
   pkt.dstleaf = pkt.dst / HOSTS_PER_LEAF;
   pkt.fbleaf = pkt.src / HOSTS_PER_LEAF;
-  pkt.local = pkt.dstleaf == MY_LEAF;
+  pkt.local = pkt.dstleaf == leaf_id;
 
   // A feedback packet arriving at its home leaf is absorbed: it updates
-  // the table entry for the leaf the feedback's sender sits under.
+  // the table entry for the leaf the feedback's sender sits under. Only
+  // a report the table can hold is absorbed; any other report (one
+  // scrambled on a corrupting link) degrades to the sentinels, like a
+  // packet that is not absorbed. A utilization below zero would beat
+  // every later report forever, and a path outside [0, SPINES) names no
+  // uplink. The check is two nested selects beside the locality test, so
+  // it adds no pipeline stage.
+  pkt.fbok = (pkt.fb_util >= 0) && (pkt.fb_path >= 0);
+  pkt.vutil = pkt.fbok ? (pkt.fb_path < SPINES ? pkt.fb_util : FB_NONE) : FB_NONE;
+  pkt.vpath = pkt.fbok ? (pkt.fb_path < SPINES ? pkt.fb_path : 0 - 1) : 0 - 1;
   pkt.absorb = pkt.fb && pkt.local;
   pkt.key = pkt.absorb ? pkt.fbleaf : pkt.dstleaf;
-  pkt.gutil = pkt.absorb ? pkt.fb_util : FB_NONE;
-  pkt.gpath = pkt.absorb ? pkt.fb_path : 0 - 1;
+  pkt.gutil = pkt.absorb ? pkt.vutil : FB_NONE;
+  pkt.gpath = pkt.absorb ? pkt.vpath : 0 - 1;
 
   if (pkt.gutil < best_util[pkt.key]) {
     best_util[pkt.key] = pkt.gutil;
@@ -408,13 +439,15 @@ void spine_route(struct Packet pkt) {
 // [0, HALF) are uplinks to cores (HALF = k/2; uplink i of agg a reaches
 // core a*HALF+i), ports [HALF, k) are downlinks to the pod's edge
 // switches. A packet for a host in this pod goes down to its edge; any
-// other packet takes an ECMP-hashed uplink. Instantiate with LeafID =
-// the pod index, Leaves = k (pods), Spines = HostsPerLeaf = k/2 — one
-// compile serves every agg of the pod (the program's only position
-// dependence is the pod's edge-index range). Locality is a range test
-// on the global edge index, not a division by pod size, so the only
-// divisor is HOSTS_PER_LEAF — the same pipeline-friendly constant every
-// leaf transaction divides by.
+// other packet takes an ECMP-hashed uplink. Instantiate with Leaves = k
+// (pods), Spines = HostsPerLeaf = k/2, and LeafID = the pod whose edge
+// range initializes the position state. The program's only position
+// dependence is the pod's global edge-index range [edge_lo, edge_hi)
+// (FatAggEdgeLoState/FatAggEdgeHiState), poked per switch, so one
+// compile serves every agg of the fabric. Locality is a range test on
+// the global edge index, not a division by pod size, so the only divisor
+// is HOSTS_PER_LEAF — the same pipeline-friendly constant every leaf
+// transaction divides by.
 func FatAggRouteSource(p RouteParams) (string, error) {
 	if err := p.validate(); err != nil {
 		return "", err
@@ -422,8 +455,6 @@ func FatAggRouteSource(p RouteParams) (string, error) {
 	return fmt.Sprintf(`
 #define HALF %d
 #define HOSTS_PER_LEAF %d
-#define EDGE_LO %d
-#define EDGE_HI %d
 
 struct Packet {
   int sport;
@@ -453,15 +484,18 @@ struct Packet {
   int down;
   int out_port;
 };
+
+int edge_lo = %d;
+int edge_hi = %d;
 %s
 void fat_agg_route(struct Packet pkt) {
   pkt.edge = pkt.dst / HOSTS_PER_LEAF;
-  pkt.local = (pkt.edge >= EDGE_LO) && (pkt.edge < EDGE_HI);
+  pkt.local = (pkt.edge >= edge_lo) && (pkt.edge < edge_hi);
   pkt.up = hash2(pkt.sport, pkt.dport) %% HALF;
-  pkt.down = HALF + pkt.edge - EDGE_LO;
+  pkt.down = HALF + pkt.edge - edge_lo;
   pkt.out_port = pkt.local ? pkt.down : pkt.up;
-`, p.Spines, p.HostsPerLeaf, p.LeafID*p.Spines, (p.LeafID+1)*p.Spines,
-		p.obsFields(), p.obsState(p.Spines+p.HostsPerLeaf)) + p.obsStamp() + "}\n", nil
+`, p.Spines, p.HostsPerLeaf, p.obsFields(), p.LeafID*p.Spines, (p.LeafID+1)*p.Spines,
+		p.obsState(p.Spines+p.HostsPerLeaf)) + p.obsStamp() + "}\n", nil
 }
 
 // RoutingAlg is one entry of the routing-transaction catalog.

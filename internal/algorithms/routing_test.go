@@ -3,6 +3,7 @@ package algorithms
 import (
 	"testing"
 
+	"domino/internal/atoms"
 	"domino/internal/banzai"
 	"domino/internal/codegen"
 	"domino/internal/interp"
@@ -312,4 +313,152 @@ func TestPortUpReroute(t *testing.T) {
 			t.Fatal("ecmp moved its route without any state to consult")
 		}
 	})
+}
+
+// TestRoutingPipelineShape pins every routing transaction's pipeline
+// depth and least atom, with the observation blocks off and on. Moving a
+// leaf's position from a compile-time constant into the leaf_id /
+// edge_lo / edge_hi state made ecmp_route and fat_agg_route read state
+// (Stateless → Write) but lengthened no pipeline, and conga_route's
+// feedback validity check rides beside the locality test.
+func TestRoutingPipelineShape(t *testing.T) {
+	want := map[string]struct {
+		depth, obsDepth int
+		atom            atoms.Kind
+	}{
+		"ecmp_route":    {3, 6, atoms.Write},
+		"flowlet_route": {10, 13, atoms.PRAW},
+		"conga_route":   {12, 15, atoms.Pairs},
+		"spine_route":   {1, 4, atoms.ReadAddWrite},
+		"fat_agg_route": {4, 7, atoms.Write},
+	}
+	for _, r := range Routings() {
+		w, ok := want[r.Name]
+		if !ok {
+			t.Fatalf("%s: no expected shape", r.Name)
+		}
+		for _, obs := range []bool{false, true} {
+			src, err := r.Source(RouteParams{Leaves: 4, Spines: 2, HostsPerLeaf: 2, ECN: obs, INT: obs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := codegen.CompileLeastSource(src)
+			if err != nil {
+				t.Fatalf("%s (obs %v): %v", r.Name, obs, err)
+			}
+			depth := w.depth
+			if obs {
+				depth = w.obsDepth
+			}
+			if p.NumStages() != depth || p.LeastAtom != w.atom {
+				t.Errorf("%s (ECN+INT %v): %d stages, least atom %v; want %d, %v",
+					r.Name, obs, p.NumStages(), p.LeastAtom, depth, w.atom)
+			}
+		}
+	}
+}
+
+// TestPositionIsState: a leaf program compiled for leaf 0 and poked to
+// leaf 2 routes exactly like one compiled for leaf 2, and a fat_agg_route
+// compiled for pod 0 and poked to pod 1's edge range routes like one
+// compiled for pod 1 — so one compile serves every switch of a tier.
+func TestPositionIsState(t *testing.T) {
+	leaf := RouteParams{Leaves: 4, Spines: 2, HostsPerLeaf: 2}
+	agg := RouteParams{Leaves: 4, Spines: 2, HostsPerLeaf: 2} // k=4: pod p owns edges [2p, 2p+2)
+	for _, r := range Routings() {
+		if r.Name == "spine_route" {
+			continue // position-free: out_port is the destination leaf
+		}
+		p, pokes := leaf, map[string]int32{LeafIDState: 2}
+		if r.Name == "fat_agg_route" {
+			p, pokes = agg, map[string]int32{FatAggEdgeLoState: 2, FatAggEdgeHiState: 4}
+		}
+		src, err := r.Source(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := routeMachine(t, src)
+		for name, v := range pokes {
+			if !m.PokeState(name, 0, v) {
+				t.Fatalf("%s does not expose %s", r.Name, name)
+			}
+		}
+		p.LeafID = 2
+		if r.Name == "fat_agg_route" {
+			p.LeafID = 1
+		}
+		if src, err = r.Source(p); err != nil {
+			t.Fatal(err)
+		}
+		ref := routeMachine(t, src)
+		locals := 0
+		for dst := int32(0); dst < 16; dst++ {
+			pkt := interp.Packet{"sport": 3 * dst, "dport": 7, "dst": dst, "src": 1, "arrival": 10 * dst}
+			got, want := runRoute(t, m, pkt.Clone()), runRoute(t, ref, pkt.Clone())
+			if got["out_port"] != want["out_port"] || got["local"] != want["local"] {
+				t.Fatalf("%s dst %d: poked program out_port=%d local=%d, compiled-in %d/%d",
+					r.Name, dst, got["out_port"], got["local"], want["out_port"], want["local"])
+			}
+			locals += int(got["local"])
+		}
+		if locals == 0 {
+			t.Fatalf("%s: no destination was local to the poked position", r.Name)
+		}
+	}
+}
+
+// TestCongaRejectsScrambledFeedback: a feedback packet whose report was
+// scrambled on a corrupting link (negative utilization, a path outside
+// [0, SPINES)) reaches its home leaf but leaves the best-path table
+// untouched, in the reference interpreter and on the compiled pipeline
+// alike; the next sane report is absorbed as usual.
+func TestCongaRejectsScrambledFeedback(t *testing.T) {
+	src, err := CongaRouteSource(RouteParams{LeafID: 1, Leaves: 4, Spines: 2, HostsPerLeaf: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := codegen.CompileLeastSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := interp.New(p.Info)
+	m := routeMachine(t, src)
+	fb := func(util, path int32) interp.Packet {
+		// Feedback from host 0 (leaf 0) arriving for local host 2.
+		return interp.Packet{"fb": 1, "fb_util": util, "fb_path": path, "src": 0, "dst": 2, "sport": 1, "dport": 1}
+	}
+	table := func() (int32, int32) {
+		st := ref.State()
+		u, pth := st.Arrays["best_util"][0], st.Arrays["best_path"][0]
+		mu, _ := m.PeekState("best_util", 0)
+		mp, _ := m.PeekState("best_path", 0)
+		if mu != u || mp != pth {
+			t.Fatalf("pipeline table (%d, %d) diverged from interpreter (%d, %d)", mu, mp, u, pth)
+		}
+		return u, pth
+	}
+	send := func(pkt interp.Packet) {
+		t.Helper()
+		if err := ref.Run(pkt.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		runRoute(t, m, pkt)
+	}
+	u0, p0 := table()
+	for _, bad := range []interp.Packet{
+		fb(-1225641854, -932953599), // the PR-era poisoning: negative util and path
+		fb(-1, 1),                   // negative util, sane path
+		fb(10, 2),                   // sane util, path == SPINES
+		fb(10, -1),                  // sane util, negative path
+	} {
+		send(bad)
+		if u, pth := table(); u != u0 || pth != p0 {
+			t.Fatalf("scrambled feedback %v changed the table to (%d, %d), want (%d, %d)",
+				bad, u, pth, u0, p0)
+		}
+	}
+	send(fb(50, 1))
+	if u, pth := table(); u != 50 || pth != 1 {
+		t.Fatalf("sane feedback not absorbed: table (%d, %d), want (50, 1)", u, pth)
+	}
 }

@@ -140,9 +140,9 @@ func NewWith(p *codegen.Program, opts Options) (*Machine, error) {
 }
 
 // NewWithLayout instantiates a machine that shares an existing layout —
-// the layout must have been built for the same program (ShardedMachine
-// uses this so every shard agrees on slot numbering). The machine lowers
-// the optimized statements the layout was computed from.
+// the layout must have been built for the same program, so every machine
+// agrees on slot numbering. The machine lowers the optimized statements
+// the layout was computed from.
 func NewWithLayout(p *codegen.Program, l *Layout) (*Machine, error) {
 	oprog := l.opt
 	if oprog == nil || oprog.prog != p {

@@ -9,16 +9,12 @@ import (
 
 // TestDifferentialExecutionPaths runs one random packet sequence through
 // every execution path — the reference interpreter, the map-based Process,
-// the header-based ProcessH, ProcessBatch in both packet-major and
-// stage-major order, and a 4-shard ShardedMachine — and requires
+// the header-based ProcessH (optimized and unoptimized), and
+// ProcessBatch in both packet-major and stage-major order — and requires
 // bit-identical outputs and final state from all of them. Since every
 // machine path executes the build-time-compiled closure programs, this is
 // also the proof that closure specialization and stage fusion preserve the
 // interpreter's semantics exactly.
-//
-// The first declared field is held constant across the sequence (a single
-// flow) and used as the sharding key, so every packet pins to one shard
-// and the sharded run must reproduce serial transaction semantics exactly.
 func TestDifferentialExecutionPaths(t *testing.T) {
 	const n = 512
 	const batch = 64
@@ -46,12 +42,6 @@ func TestDifferentialExecutionPaths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			key := info.Fields[0]
-			sharded, err := NewSharded(p, 4, key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sharded.Close()
 
 			rng := rand.New(rand.NewSource(99))
 			trace := make([]interp.Packet, n)
@@ -60,7 +50,6 @@ func TestDifferentialExecutionPaths(t *testing.T) {
 				for _, f := range info.Fields {
 					pkt[f] = int32(rng.Intn(1001))
 				}
-				pkt[key] = 7 // single flow: pin the steering key
 				trace[i] = pkt
 			}
 
@@ -152,31 +141,6 @@ func TestDifferentialExecutionPaths(t *testing.T) {
 				}
 			}
 
-			// Path 6: 4-shard ShardedMachine, whole trace in one batch.
-			sl := sharded.Layout()
-			hs := make([]Header, n)
-			for i := range hs {
-				hs[i] = sl.NewHeader()
-				sl.Encode(trace[i], hs[i])
-			}
-			active := sharded.ShardFor(hs[0])
-			if err := sharded.ProcessBatch(hs); err != nil {
-				t.Fatal(err)
-			}
-			for i, h := range hs {
-				check("Sharded", i, sl.Output(h))
-			}
-			for i := 0; i < sharded.NumShards(); i++ {
-				wantPkts := int64(0)
-				if i == active {
-					wantPkts = n
-				}
-				if got := sharded.Shard(i).Packets(); got != wantPkts {
-					t.Fatalf("shard %d processed %d packets, want %d (single flow must pin to shard %d)",
-						i, got, wantPkts, active)
-				}
-			}
-
 			// Final state must agree everywhere.
 			st := ref.State()
 			for path, got := range map[string]*interp.State{
@@ -185,66 +149,12 @@ func TestDifferentialExecutionPaths(t *testing.T) {
 				"ProcessH (unoptimized)": mNoOpt.State(),
 				"ProcessBatch":           mBatch.State(),
 				"ProcessBatchStageMajor": mStage.State(),
-				"Sharded (active)":       sharded.Shard(active).State(),
-				"Sharded (agg)":          sharded.AggregateState(),
 			} {
 				if !st.Equal(got) {
 					t.Errorf("%s: final state diverged from interpreter", path)
 				}
 			}
 		})
-	}
-}
-
-// TestShardedAggregateState spreads many flows across shards and checks the
-// additive-state contract: the sum of per-shard deltas equals serial
-// execution's state for a pure counter transaction, even though no single
-// shard saw the whole trace.
-func TestShardedAggregateState(t *testing.T) {
-	src := `
-struct Packet { int len; int total; };
-int bytes = 0;
-void t(struct Packet pkt) { bytes = bytes + pkt.len; pkt.total = bytes; }
-`
-	info, p := compile(t, src, corpus["accumulator"].atom)
-	ref := interp.New(info)
-	sharded, err := NewSharded(p, 4, "len")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-
-	rng := rand.New(rand.NewSource(5))
-	l := sharded.Layout()
-	lenSlot, _ := l.Slot("len")
-	const n = 2048
-	hs := make([]Header, n)
-	for i := range hs {
-		v := int32(rng.Intn(1500))
-		hs[i] = l.NewHeader()
-		hs[i][lenSlot] = v
-		if err := ref.Run(interp.Packet{"len": v}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sharded.ProcessBatch(hs); err != nil {
-		t.Fatal(err)
-	}
-	busy := 0
-	for i := 0; i < sharded.NumShards(); i++ {
-		if sharded.Shard(i).Packets() > 0 {
-			busy++
-		}
-	}
-	if busy < 2 {
-		t.Fatalf("steering used %d/4 shards; want the load spread", busy)
-	}
-	if got, want := sharded.Packets(), int64(n); got != want {
-		t.Fatalf("sharded machine processed %d packets, want %d", got, want)
-	}
-	if !sharded.AggregateState().Equal(ref.State()) {
-		t.Fatalf("aggregate bytes = %d, serial execution says %d",
-			sharded.AggregateState().Scalars["bytes"], ref.State().Scalars["bytes"])
 	}
 }
 

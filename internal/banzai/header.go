@@ -13,9 +13,9 @@ import (
 type Header []int32
 
 // Layout maps packet field names to header slots for one compiled program.
-// All machines instantiated from the same program share one Layout (see
-// NewWithLayout), so headers can move between a traffic generator, a
-// machine, and the shards of a ShardedMachine without translation.
+// Machines instantiated from the same program can share one Layout (see
+// NewWithLayout), so headers move between a traffic generator and those
+// machines without translation.
 type Layout struct {
 	fieldSlot map[string]int
 	slotField []string
@@ -24,7 +24,7 @@ type Layout struct {
 	finals []finalPair
 	// opt is the optimizer result the layout was computed from; machines
 	// built against this layout (NewWithLayout) lower exactly these
-	// statements, so shards and their shared layout cannot disagree on
+	// statements, so machines and their shared layout cannot disagree on
 	// slot numbering.
 	opt *optProgram
 }
@@ -118,9 +118,8 @@ func (l *Layout) Output(h Header) interp.Packet {
 }
 
 // headerPool is a free list of headers for one machine. Acquire/release is
-// not safe for concurrent use — each Machine (and each shard of a
-// ShardedMachine) owns its pool, matching the machine's own single-caller
-// contract.
+// not safe for concurrent use — each Machine owns its pool, matching the
+// machine's own single-caller contract.
 type headerPool struct {
 	width int
 	free  []Header

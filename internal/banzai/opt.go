@@ -108,7 +108,7 @@ type optAtom struct {
 // optProgram is the optimizer's result: the statements to lower, the live
 // field set (for layout compaction) and the before/after accounting. A
 // Layout carries the optProgram it was built from, so machines sharing
-// the layout (shards) compile the same optimized statements.
+// the layout compile the same optimized statements.
 type optProgram struct {
 	prog     *codegen.Program
 	identity bool // DisableOptimizer: keep every field and statement

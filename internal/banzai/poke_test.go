@@ -3,7 +3,9 @@ package banzai
 import (
 	"testing"
 
+	"domino/internal/algorithms"
 	"domino/internal/atoms"
+	"domino/internal/codegen"
 	"domino/internal/interp"
 )
 
@@ -100,4 +102,82 @@ func TestLiveHeaders(t *testing.T) {
 		t.Fatalf("reacquire: %d live", got)
 	}
 	m.ReleaseHeader(d)
+}
+
+// TestSharedProgramIsolation: machines built from one compiled program
+// share no mutable state — the contract behind loading one program per
+// fabric tier and poking each switch's position. Pokes, packets and pool
+// traffic on one machine leave the other's state, outputs and header
+// pool exactly as a never-touched machine's.
+func TestSharedProgramIsolation(t *testing.T) {
+	src, err := algorithms.FlowletRouteSource(algorithms.RouteParams{Leaves: 4, Spines: 2, HostsPerLeaf: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := codegen.CompileLeastSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *Machine {
+		m, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	a, b, fresh := build(), build(), build()
+	trace := make([]interp.Packet, 64)
+	for i := range trace {
+		trace[i] = interp.Packet{"sport": int32(i % 5), "dport": 9, "dst": int32(i % 8), "arrival": int32(30 * i)}
+	}
+
+	// Abuse a: move it to leaf 2, down an uplink, run traffic through
+	// every entry point that touches the pool.
+	if !a.PokeState(algorithms.LeafIDState, 0, 2) || !a.PokeState(algorithms.PortUpState, 1, 0) {
+		t.Fatal("flowlet_route does not expose leaf_id and port_up")
+	}
+	for _, pkt := range trace {
+		h := a.AcquireHeader()
+		a.Layout().Encode(pkt, h)
+		if out, ok := a.TickH(h); ok {
+			a.ReleaseHeader(out)
+		}
+	}
+	for _, h := range a.DrainH() {
+		a.ReleaseHeader(h)
+	}
+	for _, pkt := range trace {
+		if _, err := a.Process(pkt.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.State().Equal(fresh.State()) {
+		t.Fatal("setup: the abused machine's state did not change")
+	}
+
+	if !b.State().Equal(fresh.State()) {
+		t.Fatal("b's state changed through a's pokes and packets")
+	}
+	if b.pool.made != 0 || len(b.pool.free) != 0 || b.Packets() != 0 {
+		t.Fatalf("b's pool (made %d, free %d) or packet count (%d) moved through a",
+			b.pool.made, len(b.pool.free), b.Packets())
+	}
+	for i, pkt := range trace {
+		got, err := b.Process(pkt.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Process(pkt.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f, v := range want {
+			if got[f] != v {
+				t.Fatalf("packet %d: b's %s = %d, a never-touched machine says %d", i, f, got[f], v)
+			}
+		}
+	}
+	if !b.State().Equal(fresh.State()) {
+		t.Fatal("b's state diverged from a never-touched machine's")
+	}
 }

@@ -114,7 +114,10 @@ type ExperimentResult struct {
 	FCTMean          float64
 	FCTP95, FCTMax   int64
 
-	Injected, Delivered, Dropped int64 // packets
+	// Packet counts. Delivered counts data packets only; Feedback counts
+	// the reflected feedback packets delivered back to their senders
+	// (CONGA's; zero for the other routings). Injected counts both.
+	Injected, Delivered, Feedback, Dropped int64
 }
 
 // Trace builds the experiment's traffic: a cross-leaf permutation matrix
@@ -144,30 +147,24 @@ func (c ExperimentConfig) Build() (*LeafSpine, *algorithms.RoutingAlg, error) {
 	if !r.Leaf {
 		return nil, nil, fmt.Errorf("netsim: %q is not a leaf routing policy", c.Routing)
 	}
-	compile := func(alg algorithms.RoutingAlg, leaf int) (*codegen.Program, error) {
-		src, err := alg.Source(algorithms.RouteParams{
-			LeafID: leaf, Leaves: c.Leaves, Spines: c.Spines, HostsPerLeaf: c.HostsPerLeaf,
-			ECN: c.ECN, ECNThresholdBytes: c.ECNThresholdBytes, INT: c.INT,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return codegen.CompileLeastSource(src)
+	// One compile per tier: every leaf shares the leaf program (its
+	// position is poked by NewLeafSpine), every spine the spine program.
+	p := algorithms.RouteParams{
+		Leaves: c.Leaves, Spines: c.Spines, HostsPerLeaf: c.HostsPerLeaf,
+		ECN: c.ECN, ECNThresholdBytes: c.ECNThresholdBytes, INT: c.INT,
 	}
-	spineAlg, err := algorithms.RoutingByName("spine_route")
+	leafProg, err := compileRoute(r.Source, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	// All spines run one compiled program (the identity is positional),
-	// so spine-to-spine bridges take the copy fast path.
-	spineProg, err := compile(spineAlg, 0)
+	spineProg, err := compileRoute(algorithms.SpineRouteSource, p)
 	if err != nil {
 		return nil, nil, err
 	}
 	ls, err := NewLeafSpine(LeafSpineConfig{
 		Leaves: c.Leaves, Spines: c.Spines, HostsPerLeaf: c.HostsPerLeaf,
-		LeafProgram:          func(leaf int) (*codegen.Program, error) { return compile(r, leaf) },
-		SpineProgram:         func(int) (*codegen.Program, error) { return spineProg, nil },
+		LeafProgram:          leafProg,
+		SpineProgram:         spineProg,
 		UplinkBytesPerTick:   c.UplinkBytesPerTick,
 		DownlinkBytesPerTick: c.DownlinkBytesPerTick,
 		LinkDelay:            c.LinkDelay,
@@ -181,6 +178,15 @@ func (c ExperimentConfig) Build() (*LeafSpine, *algorithms.RoutingAlg, error) {
 	}
 	ls.Net.Feedback = r.Feedback
 	return ls, &r, nil
+}
+
+// compileRoute compiles one routing transaction for a fabric tier.
+func compileRoute(source func(algorithms.RouteParams) (string, error), p algorithms.RouteParams) (*codegen.Program, error) {
+	src, err := source(p)
+	if err != nil {
+		return nil, err
+	}
+	return codegen.CompileLeastSource(src)
 }
 
 // RunLeafSpine builds the fabric, replays the trace to completion and
@@ -231,6 +237,7 @@ func RunLeafSpine(c ExperimentConfig) (*ExperimentResult, error) {
 	}
 
 	t := ls.Net.Totals()
-	res.Injected, res.Delivered, res.Dropped = t.InjectedPkts, t.DeliveredPkts, t.DroppedPkts
+	res.Injected, res.Dropped = t.InjectedPkts, t.DroppedPkts
+	res.Delivered, res.Feedback = t.DeliveredPkts-t.FbDeliveredPkts, t.FbDeliveredPkts
 	return res, nil
 }

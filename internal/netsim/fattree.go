@@ -32,16 +32,17 @@ import (
 )
 
 // FatTreeConfig sizes and programs a k-ary fat tree. Programs are
-// supplied as compiled pipelines, mirroring LeafSpineConfig: EdgeProgram
-// runs once per global edge index, AggProgram once per pod (the pod's
-// k/2 aggs share one program — fat_agg_route's only position dependence
-// is the pod), CoreProgram once per core.
+// supplied as compiled pipelines, one per tier, mirroring
+// LeafSpineConfig. Positions are poked control-plane state: edge e's
+// algorithms.LeafIDState gets its global edge index, and each agg of pod
+// p gets the pod's edge range [p*k/2, (p+1)*k/2) in
+// algorithms.FatAggEdgeLoState/FatAggEdgeHiState.
 type FatTreeConfig struct {
 	K int // pods; must be even and >= 2
 
-	EdgeProgram func(edge int) (*codegen.Program, error)
-	AggProgram  func(pod int) (*codegen.Program, error)
-	CoreProgram func(core int) (*codegen.Program, error)
+	EdgeProgram *codegen.Program
+	AggProgram  *codegen.Program
+	CoreProgram *codegen.Program
 
 	// UplinkBytesPerTick caps every switch↔switch link (both directions);
 	// DownlinkBytesPerTick caps edge→host links. Zero keeps switchsim's
@@ -74,6 +75,9 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 	if k < 2 || k%2 != 0 {
 		return nil, fmt.Errorf("netsim: fat tree needs an even k >= 2, got %d", k)
 	}
+	if cfg.EdgeProgram == nil || cfg.AggProgram == nil || cfg.CoreProgram == nil {
+		return nil, fmt.Errorf("netsim: fat tree needs an edge, an agg and a core program")
+	}
 	half := k / 2
 	ft := &FatTree{Net: New(), cfg: cfg}
 	n := ft.Net
@@ -89,37 +93,29 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 		}
 	}
 	for c := 0; c < half*half; c++ {
-		prog, err := cfg.CoreProgram(c)
-		if err != nil {
-			return nil, fmt.Errorf("netsim: core %d program: %w", c, err)
-		}
-		id, err := n.AddSwitch(fmt.Sprintf("core%d", c), prog, swCfg(k))
+		id, err := n.AddSwitch(fmt.Sprintf("core%d", c), cfg.CoreProgram, swCfg(k))
 		if err != nil {
 			return nil, err
 		}
 		ft.Cores = append(ft.Cores, id)
 	}
 	for p := 0; p < k; p++ {
-		aggProg, err := cfg.AggProgram(p)
-		if err != nil {
-			return nil, fmt.Errorf("netsim: pod %d agg program: %w", p, err)
-		}
 		for a := 0; a < half; a++ {
-			id, err := n.AddSwitch(fmt.Sprintf("agg%d_%d", p, a), aggProg, swCfg(k))
+			id, err := n.AddSwitch(fmt.Sprintf("agg%d_%d", p, a), cfg.AggProgram, swCfg(k))
 			if err != nil {
 				return nil, err
 			}
+			w := n.nodes[id].sw
+			w.pokeIdentity(algorithms.FatAggEdgeLoState, int32(p*half))
+			w.pokeIdentity(algorithms.FatAggEdgeHiState, int32((p+1)*half))
 			ft.Aggs = append(ft.Aggs, id)
 		}
 		for e := 0; e < half; e++ {
-			prog, err := cfg.EdgeProgram(p*half + e)
-			if err != nil {
-				return nil, fmt.Errorf("netsim: edge %d program: %w", p*half+e, err)
-			}
-			id, err := n.AddSwitch(fmt.Sprintf("edge%d_%d", p, e), prog, swCfg(k))
+			id, err := n.AddSwitch(fmt.Sprintf("edge%d_%d", p, e), cfg.EdgeProgram, swCfg(k))
 			if err != nil {
 				return nil, err
 			}
+			n.nodes[id].sw.pokeIdentity(algorithms.LeafIDState, int32(p*half+e))
 			ft.Edges = append(ft.Edges, id)
 			for j := 0; j < half; j++ {
 				hid, err := n.AddHost(fmt.Sprintf("host%d", (p*half+e)*half+j), id)
@@ -251,40 +247,34 @@ func (c FatTreeExperimentConfig) Build() (*FatTree, *algorithms.RoutingAlg, erro
 	if !r.Leaf {
 		return nil, nil, fmt.Errorf("netsim: %q is not a leaf routing policy", c.Routing)
 	}
+	// One compile per tier: every switch of a tier shares the program,
+	// and NewFatTree pokes each one's position. Edges see the k*k/2
+	// edges as leaves and the pod's aggs as spines; cores see pods as
+	// leaves.
 	half := c.K / 2
-	numEdges := c.K * half
-	podHosts := half * half
-	obs := func(p algorithms.RouteParams) algorithms.RouteParams {
-		p.ECN, p.ECNThresholdBytes, p.INT = c.ECN, c.ECNThresholdBytes, c.INT
-		return p
-	}
-	compile := func(src string, err error) (*codegen.Program, error) {
-		if err != nil {
-			return nil, err
+	tier := func(leaves, hostsPerLeaf int) algorithms.RouteParams {
+		return algorithms.RouteParams{
+			Leaves: leaves, Spines: half, HostsPerLeaf: hostsPerLeaf,
+			ECN: c.ECN, ECNThresholdBytes: c.ECNThresholdBytes, INT: c.INT,
 		}
-		return codegen.CompileLeastSource(src)
 	}
-	// Cores share one compiled program (identity is positional), as do
-	// the k/2 aggs of each pod — copy-fast-path bridges within each tier.
-	coreProg, err := compile(algorithms.SpineRouteSource(obs(algorithms.RouteParams{
-		LeafID: 0, Leaves: c.K, Spines: half, HostsPerLeaf: podHosts,
-	})))
+	edge, err := compileRoute(r.Source, tier(c.K*half, half))
+	if err != nil {
+		return nil, nil, err
+	}
+	agg, err := compileRoute(algorithms.FatAggRouteSource, tier(c.K, half))
+	if err != nil {
+		return nil, nil, err
+	}
+	core, err := compileRoute(algorithms.SpineRouteSource, tier(c.K, half*half))
 	if err != nil {
 		return nil, nil, err
 	}
 	ft, err := NewFatTree(FatTreeConfig{
-		K: c.K,
-		EdgeProgram: func(edge int) (*codegen.Program, error) {
-			return compile(r.Source(obs(algorithms.RouteParams{
-				LeafID: edge, Leaves: numEdges, Spines: half, HostsPerLeaf: half,
-			})))
-		},
-		AggProgram: func(pod int) (*codegen.Program, error) {
-			return compile(algorithms.FatAggRouteSource(obs(algorithms.RouteParams{
-				LeafID: pod, Leaves: c.K, Spines: half, HostsPerLeaf: half,
-			})))
-		},
-		CoreProgram:          func(int) (*codegen.Program, error) { return coreProg, nil },
+		K:                    c.K,
+		EdgeProgram:          edge,
+		AggProgram:           agg,
+		CoreProgram:          core,
 		UplinkBytesPerTick:   c.UplinkBytesPerTick,
 		DownlinkBytesPerTick: c.DownlinkBytesPerTick,
 		LinkDelay:            c.LinkDelay,
@@ -317,7 +307,8 @@ type FatTreeFCTResult struct {
 	MiceP99            int64 // p99 FCT over flows < 10 pkts (-1 if none)
 	ElephantP99        int64 // p99 FCT over flows >= 100 pkts (-1 if none)
 	Injected, Dropped  int64
-	Delivered          int64
+	Delivered          int64   // data packets; Injected also counts feedback
+	Feedback           int64   // reflected feedback packets delivered
 	OfferedBytesPerSec float64 // offered load ÷ ticks, bytes/tick
 }
 
@@ -380,7 +371,8 @@ func RunFatTreeFCT(c FatTreeExperimentConfig) (*FatTreeFCTResult, error) {
 	res.ElephantP99 = pctile(elephants, 99)
 
 	t := ft.Net.Totals()
-	res.Injected, res.Delivered, res.Dropped = t.InjectedPkts, t.DeliveredPkts, t.DroppedPkts
+	res.Injected, res.Dropped = t.InjectedPkts, t.DroppedPkts
+	res.Delivered, res.Feedback = t.DeliveredPkts-t.FbDeliveredPkts, t.FbDeliveredPkts
 	if res.Ticks > 0 {
 		var offered int64
 		for _, b := range tr.FlowBytes {

@@ -3,7 +3,66 @@ package netsim
 import (
 	"strings"
 	"testing"
+
+	"domino/internal/algorithms"
+	"domino/internal/codegen"
 )
+
+// distinctPrograms counts the distinct compiled programs a network's
+// switches run.
+func distinctPrograms(n *Network) int {
+	progs := map[*codegen.Program]bool{}
+	for _, w := range n.switches {
+		progs[w.prog] = true
+	}
+	return len(progs)
+}
+
+// checkIdentity asserts one switch's poked position scalar.
+func checkIdentity(t *testing.T, n *Network, id NodeID, name string, want int32) {
+	t.Helper()
+	if v, ok := n.nodes[id].sw.sw.Machine().PeekState(name, 0); !ok || v != want {
+		t.Errorf("%s: %s = %d,%v, want %d", n.nodes[id].name, name, v, ok, want)
+	}
+}
+
+// checkFatTreeIdentity asserts every edge's and agg's poked position.
+func checkFatTreeIdentity(t *testing.T, ft *FatTree) {
+	t.Helper()
+	half := int32(ft.K() / 2)
+	for e, id := range ft.Edges {
+		checkIdentity(t, ft.Net, id, algorithms.LeafIDState, int32(e))
+	}
+	for a, id := range ft.Aggs {
+		pod := int32(a) / half
+		checkIdentity(t, ft.Net, id, algorithms.FatAggEdgeLoState, pod*half)
+		checkIdentity(t, ft.Net, id, algorithms.FatAggEdgeHiState, (pod+1)*half)
+	}
+}
+
+// TestFatTreeOneProgramPerTier: a k=8 fat tree compiles one program per
+// tier — edge, agg, core — and the switches' positions are poked state.
+// A scrambled restart garbles those cells along with everything else;
+// the restart's identity replay must put every switch back in place
+// (switch_id included, which the INT block folds into path digests).
+func TestFatTreeOneProgramPerTier(t *testing.T) {
+	ft, _, err := (FatTreeExperimentConfig{Routing: "flowlet_route", K: 8, INT: true}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := distinctPrograms(ft.Net); got != 3 {
+		t.Fatalf("k=8 fat tree holds %d distinct programs, want 3 (one per tier)", got)
+	}
+	checkFatTreeIdentity(t, ft)
+	n := ft.Net
+	for i, w := range n.switches {
+		n.applyFault(&FaultEvent{Kind: FaultSwitchRestart, Node: w.id, Scramble: i%2 == 0})
+	}
+	checkFatTreeIdentity(t, ft)
+	for _, w := range n.switches {
+		checkIdentity(t, n, w.id, algorithms.INTSwitchIDState, int32(w.id))
+	}
+}
 
 // TestFatTreeTopology pins the k-ary fat-tree shape: k pods of k/2 edge
 // and k/2 aggregation switches, (k/2)^2 cores, k^3/4 hosts.
@@ -48,9 +107,9 @@ func TestFatTreeFCTConservation(t *testing.T) {
 			if res.Completed != res.Flows {
 				t.Errorf("%d of %d flows completed", res.Completed, res.Flows)
 			}
-			if res.Delivered != res.Injected {
-				t.Errorf("delivered %d of %d injected (dropped %d) on a healthy fabric",
-					res.Delivered, res.Injected, res.Dropped)
+			if res.Delivered+res.Feedback != res.Injected {
+				t.Errorf("delivered %d + feedback %d of %d injected (dropped %d) on a healthy fabric",
+					res.Delivered, res.Feedback, res.Injected, res.Dropped)
 			}
 			if res.FCTP50 < 1 || res.FCTP99 < res.FCTP50 || res.FCTMax < res.FCTP99 {
 				t.Errorf("implausible FCT percentiles: p50 %d p99 %d max %d",
@@ -108,5 +167,8 @@ func TestFatTreeRejectsBadConfig(t *testing.T) {
 	}
 	if _, _, err := (FatTreeExperimentConfig{Routing: "nope", K: 4}).Build(); err == nil {
 		t.Error("unknown routing accepted")
+	}
+	if _, err := NewFatTree(FatTreeConfig{K: 4}); err == nil {
+		t.Error("fat tree without programs accepted")
 	}
 }

@@ -68,7 +68,8 @@ const (
 	// are flushed (counted as that switch's drops), the pipeline's state
 	// arrays are wiped via banzai's ResetState — or seeded-scrambled via
 	// ScrambleState when Scramble is set — and any stall/crash ends. The
-	// harness re-pokes what the control plane owns (switch_id, port_up);
+	// harness re-pokes what the control plane owns (the switch's identity
+	// — switch_id, leaf_id, edge_lo/edge_hi — and port_up);
 	// transaction-owned soft state (flowlet tables, CONGA path tables)
 	// must re-converge from packets alone.
 	FaultSwitchRestart
@@ -371,10 +372,10 @@ func (n *Network) ensureRNG(l *link, ev *FaultEvent) {
 // ports they waited on), the pipeline's state arrays are wiped — reset to
 // declared inits, or seeded-scrambled for a torn-checkpoint restart — and
 // any stall or crash ends. Control-plane-owned state the harness poked
-// (switch_id, port_up) is re-poked immediately; queue_depth republishes on
-// the same tick's depth pass. Everything the transactions own (flowlet
-// tables, CONGA best-path tables) starts over and must re-converge from
-// packets alone.
+// (the switch's identity pokes, port_up) is re-poked immediately;
+// queue_depth republishes on the same tick's depth pass. Everything the
+// transactions own (flowlet tables, CONGA best-path tables) starts over
+// and must re-converge from packets alone.
 func (n *Network) restartSwitch(w *netSwitch, ev *FaultEvent) {
 	w.sw.FlushQueues(nil)
 	m := w.sw.Machine()
@@ -383,7 +384,9 @@ func (n *Network) restartSwitch(w *netSwitch, ev *FaultEvent) {
 	} else {
 		m.ResetState()
 	}
-	m.PokeState(algorithms.INTSwitchIDState, 0, int32(w.id))
+	for _, p := range w.identity {
+		m.PokeState(p.name, 0, p.v)
+	}
 	for port, l := range w.links {
 		if l == nil {
 			continue

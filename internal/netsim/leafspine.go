@@ -17,13 +17,15 @@ import (
 
 // LeafSpineConfig sizes a fabric. Programs are supplied as compiled
 // pipelines so the topology layer stays independent of the routing
-// catalog: LeafProgram is called once per leaf (leaf routing transactions
-// embed the leaf's id), SpineProgram once per spine.
+// catalog: one program per tier, shared by every switch of the tier.
+// A leaf's position is control-plane state, not part of its program: the
+// builder pokes leaf l's algorithms.LeafIDState with l (programs that do
+// not declare it refuse the poke).
 type LeafSpineConfig struct {
 	Leaves, Spines, HostsPerLeaf int
 
-	LeafProgram  func(leaf int) (*codegen.Program, error)
-	SpineProgram func(spine int) (*codegen.Program, error)
+	LeafProgram  *codegen.Program
+	SpineProgram *codegen.Program
 
 	// UplinkBytesPerTick caps every leaf↔spine link (both directions);
 	// DownlinkBytesPerTick caps leaf→host links. Zero keeps switchsim's
@@ -60,17 +62,16 @@ func NewLeafSpine(cfg LeafSpineConfig) (*LeafSpine, error) {
 		return nil, fmt.Errorf("netsim: leaf-spine needs positive leaves/spines/hosts, got %d/%d/%d",
 			cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf)
 	}
+	if cfg.LeafProgram == nil || cfg.SpineProgram == nil {
+		return nil, fmt.Errorf("netsim: leaf-spine needs a leaf and a spine program")
+	}
 	ls := &LeafSpine{Net: New(), cfg: cfg}
 	n := ls.Net
 	if err := n.SetTelemetry(cfg.Telemetry, cfg.Trace); err != nil {
 		return nil, err
 	}
 	for s := 0; s < cfg.Spines; s++ {
-		prog, err := cfg.SpineProgram(s)
-		if err != nil {
-			return nil, fmt.Errorf("netsim: spine %d program: %w", s, err)
-		}
-		id, err := n.AddSwitch(fmt.Sprintf("spine%d", s), prog, switchsim.Config{
+		id, err := n.AddSwitch(fmt.Sprintf("spine%d", s), cfg.SpineProgram, switchsim.Config{
 			Ports:               cfg.Leaves,
 			QueueCapBytes:       cfg.QueueCapBytes,
 			ServiceBytesPerTick: cfg.UplinkBytesPerTick,
@@ -82,11 +83,7 @@ func NewLeafSpine(cfg LeafSpineConfig) (*LeafSpine, error) {
 		ls.Spines = append(ls.Spines, id)
 	}
 	for l := 0; l < cfg.Leaves; l++ {
-		prog, err := cfg.LeafProgram(l)
-		if err != nil {
-			return nil, fmt.Errorf("netsim: leaf %d program: %w", l, err)
-		}
-		id, err := n.AddSwitch(fmt.Sprintf("leaf%d", l), prog, switchsim.Config{
+		id, err := n.AddSwitch(fmt.Sprintf("leaf%d", l), cfg.LeafProgram, switchsim.Config{
 			Ports:               cfg.Spines + cfg.HostsPerLeaf,
 			QueueCapBytes:       cfg.QueueCapBytes,
 			ServiceBytesPerTick: cfg.UplinkBytesPerTick,
@@ -95,6 +92,7 @@ func NewLeafSpine(cfg LeafSpineConfig) (*LeafSpine, error) {
 		if err != nil {
 			return nil, err
 		}
+		n.nodes[id].sw.pokeIdentity(algorithms.LeafIDState, int32(l))
 		ls.Leaves = append(ls.Leaves, id)
 		for k := 0; k < cfg.HostsPerLeaf; k++ {
 			hid, err := n.AddHost(fmt.Sprintf("host%d", l*cfg.HostsPerLeaf+k), id)

@@ -143,6 +143,12 @@ type netSwitch struct {
 	// declare the array — ECN marking off). Resolved once at AddSwitch.
 	qdPorts int
 
+	// identity is the control-plane identity this switch's program was
+	// poked with (switch_id, and the fabric position: leaf_id, or
+	// edge_lo/edge_hi), in poke order. restartSwitch replays it after a
+	// state wipe, as a controller re-syncs a rebooted switch.
+	identity []identityPoke
+
 	// Fault state (see faults.go). A stalled switch stops servicing its
 	// queues but still accepts arrivals; a crashed switch additionally
 	// blackholes everything delivered or injected into it.
@@ -158,6 +164,21 @@ type netSwitch struct {
 	// ticks in between.
 	frozenAt int64
 	lag      int64
+}
+
+// identityPoke is one control-plane identity scalar and its value.
+type identityPoke struct {
+	name string
+	v    int32
+}
+
+// pokeIdentity sets a control-plane identity scalar in the switch's
+// program and records it for restartSwitch to replay. A program that
+// does not declare the scalar refuses the poke, and nothing is recorded.
+func (w *netSwitch) pokeIdentity(name string, v int32) {
+	if w.sw.Machine().PokeState(name, 0, v) {
+		w.identity = append(w.identity, identityPoke{name, v})
+	}
 }
 
 // noteFreeze updates the frozen-time bookkeeping after any mutation of
@@ -466,9 +487,8 @@ func (n *Network) AddSwitch(name string, prog *codegen.Program, cfg switchsim.Co
 		w.qdPorts++
 	}
 	// An INT-stamping program learns this switch's identity once: the
-	// node id it folds into every packet's path digest. The poke simply
-	// refuses when the program declares no switch_id.
-	sw.Machine().PokeState(algorithms.INTSwitchIDState, 0, int32(w.id))
+	// node id it folds into every packet's path digest.
+	w.pokeIdentity(algorithms.INTSwitchIDState, int32(w.id))
 	n.switches = append(n.switches, w)
 	n.nodes = append(n.nodes, &node{name: name, sw: w})
 	return w.id, nil

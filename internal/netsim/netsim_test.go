@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"domino/internal/algorithms"
-	"domino/internal/banzai"
 	"domino/internal/codegen"
 	"domino/internal/switchsim"
 	"domino/internal/workload"
@@ -56,8 +55,11 @@ func TestLeafSpineBalance(t *testing.T) {
 		if res.Completed != res.Flows {
 			t.Errorf("%s: %d/%d flows completed", routing, res.Completed, res.Flows)
 		}
-		if res.Injected == 0 || res.Delivered != res.Injected {
-			t.Errorf("%s: injected %d delivered %d", routing, res.Injected, res.Delivered)
+		if res.Injected == 0 || res.Delivered+res.Feedback != res.Injected {
+			t.Errorf("%s: injected %d delivered %d + feedback %d", routing, res.Injected, res.Delivered, res.Feedback)
+		}
+		if (res.Feedback > 0) != (routing == "conga_route") {
+			t.Errorf("%s: %d feedback packets delivered", routing, res.Feedback)
 		}
 		imb[routing] = res.Imbalance
 	}
@@ -203,66 +205,6 @@ func TestNetsimDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedFlowPinnedDeterminism: a sharded machine whose key fields
-// pin every flow to one shard produces identical per-packet outputs and
-// aggregate state across two runs — the sharded data path stays
-// deterministic even under the race detector's schedule perturbation.
-func TestShardedFlowPinnedDeterminism(t *testing.T) {
-	r, err := algorithms.RoutingByName("flowlet_route")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := r.Source(algorithms.RouteParams{LeafID: 0, Leaves: 4, Spines: 2, HostsPerLeaf: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := codegen.CompileLeastSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := workload.PermutationTrace(5, 8, 2, 64, 1500, 8, 40)
-
-	run := func() [][]int32 {
-		sm, err := banzai.NewSharded(prog, 4, "sport", "dport")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sm.Close()
-		l := sm.Layout()
-		hs := make([]banzai.Header, len(tr.Packets))
-		for i, p := range tr.Packets {
-			h := l.NewHeader()
-			if s, ok := l.Slot("sport"); ok {
-				h[s] = p.Sport
-			}
-			if s, ok := l.Slot("dport"); ok {
-				h[s] = p.Dport
-			}
-			if s, ok := l.Slot("arrival"); ok {
-				h[s] = int32(uint32(p.Arrival))
-			}
-			if s, ok := l.Slot("dst"); ok {
-				h[s] = p.Dst
-			}
-			hs[i] = h
-		}
-		for lo := 0; lo < len(hs); lo += 256 {
-			hi := min(lo+256, len(hs))
-			if err := sm.ProcessBatch(hs[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out := make([][]int32, len(hs))
-		for i, h := range hs {
-			out[i] = []int32(h)
-		}
-		return out
-	}
-	if !reflect.DeepEqual(run(), run()) {
-		t.Fatal("flow-pinned sharded runs diverged")
-	}
-}
-
 // TestNetHotPathZeroAlloc enforces the PR's data-path contract in CI
 // (the benchmark only reports it): once pools and rings are warm, a
 // packet's whole life — host inject, leaf pipeline, core links, spine
@@ -305,8 +247,9 @@ func TestNetHotPathZeroAlloc(t *testing.T) {
 }
 
 // TestLeafSpineShape: the builder wires leaves*spines*2 core links plus
-// one downlink per host, rejects degenerate shapes, and CoreLinkBytes
-// reports exactly the core.
+// one downlink per host, loads one program per tier with each leaf's
+// position poked, rejects degenerate shapes, and CoreLinkBytes reports
+// exactly the core.
 func TestLeafSpineShape(t *testing.T) {
 	cfg := ExperimentConfig{Routing: "ecmp_route", Seed: 2, Leaves: 3, Spines: 2, HostsPerLeaf: 2}
 	cfg.setDefaults()
@@ -321,8 +264,17 @@ func TestLeafSpineShape(t *testing.T) {
 	if got := len(ls.CoreLinkBytes()); got != cfg.Leaves*cfg.Spines*2 {
 		t.Fatalf("%d core links, want %d", got, cfg.Leaves*cfg.Spines*2)
 	}
+	if got := distinctPrograms(ls.Net); got != 2 {
+		t.Fatalf("leaf-spine holds %d distinct programs, want 2 (one per tier)", got)
+	}
+	for l, id := range ls.Leaves {
+		checkIdentity(t, ls.Net, id, algorithms.LeafIDState, int32(l))
+	}
 	if _, err := NewLeafSpine(LeafSpineConfig{Leaves: 0, Spines: 1, HostsPerLeaf: 1}); err == nil {
 		t.Fatal("degenerate fabric accepted")
+	}
+	if _, err := NewLeafSpine(LeafSpineConfig{Leaves: 1, Spines: 1, HostsPerLeaf: 1}); err == nil {
+		t.Fatal("fabric without programs accepted")
 	}
 	if _, err := RunLeafSpine(ExperimentConfig{Routing: "nope"}); err == nil {
 		t.Fatal("unknown routing accepted")
