@@ -117,9 +117,9 @@ func TestRunReliableSeeded(t *testing.T) {
 
 // TestRunGoldens: the remaining fixed-seed network reports are
 // byte-identical to their goldens. The -fct report's event-vs-polled
-// wall-clock lines are the only nondeterministic output anywhere and are
-// dropped before the comparison (the totals behind them are asserted
-// equal by the report itself).
+// wall-clock lines are its only nondeterministic output and are dropped
+// before the comparison (the report itself asserts the totals behind
+// them equal).
 func TestRunGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three network experiments")
