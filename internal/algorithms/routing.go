@@ -330,7 +330,7 @@ func CongaRouteSource(p RouteParams) (string, error) {
 	if p.Leaves > 64 {
 		return "", fmt.Errorf("algorithms: conga_route supports at most 64 leaves (N_LEAVES), got %d", p.Leaves)
 	}
-	return leafHeader(p, "  int fbleaf;\n  int fbok;\n  int vutil;\n  int vpath;\n  int absorb;\n  int key;\n  int gutil;\n  int gpath;\n  int best;\n  int eup;\n  int pup;\n  int probe;\n  int dup;\n  int upsel;\n  int upok;\n  int alt;\n"+p.obsFields()) + `
+	return leafHeader(p, "  int fbleaf;\n  int fbneg;\n  int vutil;\n  int vpath;\n  int absorb;\n  int key;\n  int gutil;\n  int gpath;\n  int best;\n  int eup;\n  int pup;\n  int probe;\n  int dup;\n  int upsel;\n  int upok;\n  int alt;\n"+p.obsFields()) + `
 #define N_LEAVES 64
 #define FB_NONE 1073741824
 #define FB_INIT 536870912
@@ -347,15 +347,17 @@ void conga_route(struct Packet pkt) {
 
   // A feedback packet arriving at its home leaf is absorbed: it updates
   // the table entry for the leaf the feedback's sender sits under. Only
-  // a report the table can hold is absorbed; any other report (one
-  // scrambled on a corrupting link) degrades to the sentinels, like a
-  // packet that is not absorbed. A utilization below zero would beat
-  // every later report forever, and a path outside [0, SPINES) names no
-  // uplink. The check is two nested selects beside the locality test, so
-  // it adds no pipeline stage.
-  pkt.fbok = (pkt.fb_util >= 0) && (pkt.fb_path >= 0);
-  pkt.vutil = pkt.fbok ? (pkt.fb_path < SPINES ? pkt.fb_util : FB_NONE) : FB_NONE;
-  pkt.vpath = pkt.fbok ? (pkt.fb_path < SPINES ? pkt.fb_path : 0 - 1) : 0 - 1;
+  // a report the table can hold is absorbed: a utilization below zero
+  // would beat every later report forever, and a path outside
+  // [0, SPINES) names no uplink. Any other report (one scrambled on a
+  // corrupting link) carries util FB_NONE and a path no table entry
+  // holds (-1, or its own path >= SPINES), so it wins neither update
+  // branch, like a packet that is not absorbed. fb_util | fb_path is
+  // negative iff either is. The check runs beside the locality test and
+  // adds no pipeline stage.
+  pkt.fbneg = (pkt.fb_util | pkt.fb_path) < 0;
+  pkt.vutil = pkt.fbneg ? FB_NONE : (pkt.fb_path < SPINES ? pkt.fb_util : FB_NONE);
+  pkt.vpath = pkt.fbneg ? 0 - 1 : pkt.fb_path;
   pkt.absorb = pkt.fb && pkt.local;
   pkt.key = pkt.absorb ? pkt.fbleaf : pkt.dstleaf;
   pkt.gutil = pkt.absorb ? pkt.vutil : FB_NONE;
